@@ -3,8 +3,8 @@
 #
 # Runs the same checks as .github/workflows/ci.yml, in order of
 # increasing cost, stopping at the first failure. No step needs network
-# access: the workspace has no external dependencies (property tests and
-# criterion benches are gated behind off-by-default features).
+# access: the workspace has no external dependencies (property tests are
+# gated behind an off-by-default feature).
 #
 # Usage: ./ci.sh
 set -euo pipefail
@@ -157,6 +157,12 @@ NEST_CACHE=off NEST_PROGRESS=0 NEST_RESULTS_DIR="$(mktemp -d)" \
     --policy cfs --policy nest --policy "nest:domain=ccx" --policy smove \
     --governor schedutil --workload "schbench:mt=32,w=15,requests=20" --runs 1
 step ./scripts/check_scale_regression.sh
+
+# The simulator benchmark (BENCHMARK.json, simbench/): every workload
+# builds and runs a minimal pass through simbench/run.py, untraced and
+# traced, with well-formed metrics, nothing failed, and traced counts
+# that repeat exactly.
+step python3 simbench/test_smoke.py
 
 # Byte-identity guard: fig02/fig04/fig10/table4/fig_serve_tail/
 # fig_attribution/faulted/synth/replay artifacts vs committed golden

@@ -527,9 +527,9 @@ fn replay_restore(a: &RunArgs, path: &str) {
     }
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("could not read {path}: {e}")));
-    let (header, scenario_json) =
-        nest_core::read_header(&text).unwrap_or_else(|e| fail(&e.to_string()));
-    let base = Scenario::from_json(&scenario_json)
+    // One parse serves the header, the embedded scenario and the restore.
+    let snapshot = nest_core::Snapshot::parse(&text).unwrap_or_else(|e| fail(&e.to_string()));
+    let base = Scenario::from_json(snapshot.scenario())
         .unwrap_or_else(|e| fail(&format!("snapshot's embedded scenario: {e}")));
 
     // Branch overrides are re-validated through the registries, exactly
@@ -563,17 +563,13 @@ fn replay_restore(a: &RunArgs, path: &str) {
 
     println!("scenario: {}{branchinfo}", base.identity());
     let workload = base.build_workload();
-    let paused = nest_core::restore(
-        &branched.sim_config(),
-        workload.as_ref(),
-        &text,
-        &base.identity(),
-    )
-    .unwrap_or_else(|e| fail(&e.to_string()));
+    let paused = snapshot
+        .restore(&branched.sim_config(), workload.as_ref(), &base.identity())
+        .unwrap_or_else(|e| fail(&e.to_string()));
     println!(
         "restored at {:.3}s ({} events skipped)",
         paused.now().as_secs_f64(),
-        header.events
+        snapshot.header().events
     );
     let r = paused.resume();
     println!("run completed in {:.3}s simulated", r.time_s);

@@ -23,6 +23,12 @@
 //! * [`restore`] — rebuild a paused simulation from snapshot text and
 //!   [`PausedSim::resume`] it to completion.
 //!
+//! Reading is linear in the snapshot's size and parses the text once:
+//! [`Snapshot::parse`] runs the checks every reader shares (parse,
+//! schema, checksum), and [`read_header`], [`restore`] and the CLI's
+//! `replay --from` all go through it. The checksum streams the canonical
+//! writer into a hash instead of printing the body a second time.
+//!
 //! Restoring with a *different* fault plan than the snapshot's is the
 //! supported "branching what-if" mode: the pending fault events are
 //! replaced by the override plan's (scheduled no earlier than the pause
@@ -32,7 +38,7 @@
 use std::fmt;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::rng::hash_str;
+use nest_simcore::rng::Fnv1a;
 use nest_simcore::snap;
 use nest_simcore::{BehaviorRegistry, Time};
 use nest_workloads::Workload;
@@ -141,9 +147,12 @@ pub fn behavior_registry() -> BehaviorRegistry {
 }
 
 /// Digest of a snapshot body: FNV-1a over the pretty-printed text,
-/// SplitMix-finalized, rendered as 16 hex digits.
-fn body_checksum(body_text: &str) -> String {
-    format!("{:016x}", hash_str(body_text))
+/// SplitMix-finalized, rendered as 16 hex digits. The text is streamed
+/// into the hash, never built.
+fn body_checksum(body: &Json) -> String {
+    let mut h = Fnv1a::new();
+    body.write_pretty(&mut h);
+    format!("{:016x}", h.finish())
 }
 
 /// Either a finished run or a simulation paused mid-flight.
@@ -186,13 +195,12 @@ impl PausedSim {
     /// (e.g. the execution-trace probe of `--trace` runs).
     pub fn snapshot(&self, identity: &str, scenario: Json) -> Result<String, SnapError> {
         let body = self.engine.snapshot().map_err(SnapError::State)?;
-        let body_text = body.to_pretty();
         let header = json::obj(vec![
             ("schema", Json::u64(SNAPSHOT_SCHEMA)),
             ("identity", Json::str(identity)),
             ("at_ns", snap::time_json(self.engine.now())),
             ("events", Json::u64(self.engine.events_dispatched())),
-            ("checksum", Json::str(&body_checksum(&body_text))),
+            ("checksum", Json::str(&body_checksum(&body))),
         ]);
         let doc = json::obj(vec![
             (HEADER_KEY, header),
@@ -235,47 +243,96 @@ pub fn run_until(cfg: &SimConfig, workload: &dyn Workload, pause_at: Time) -> Pr
     }
 }
 
+/// A snapshot document that passed the checks every reader shares:
+/// it parses, its schema is [`SNAPSHOT_SCHEMA`], and its body matches
+/// the header's checksum. The scenario identity is checked later, by
+/// [`Snapshot::restore`], against the restore target.
+pub struct Snapshot {
+    header: SnapshotHeader,
+    doc: Json,
+}
+
+impl Snapshot {
+    /// Parses `text` once and validates it in order: parse, schema,
+    /// checksum.
+    pub fn parse(text: &str) -> Result<Snapshot, SnapError> {
+        let doc = json::parse(text).map_err(SnapError::Parse)?;
+        let header = doc
+            .get(HEADER_KEY)
+            .ok_or_else(|| SnapError::Parse(format!("missing \"{HEADER_KEY}\" header block")))?;
+        let schema = snap::get_u64(header, "schema").map_err(SnapError::Parse)?;
+        if schema != SNAPSHOT_SCHEMA {
+            return Err(SnapError::SchemaMismatch {
+                found: schema,
+                expect: SNAPSHOT_SCHEMA,
+            });
+        }
+        let header = SnapshotHeader {
+            schema,
+            identity: snap::get_str(header, "identity")
+                .map_err(SnapError::Parse)?
+                .to_string(),
+            at_ns: snap::get_time(header, "at_ns")
+                .map_err(SnapError::Parse)?
+                .as_nanos(),
+            events: snap::get_u64(header, "events").map_err(SnapError::Parse)?,
+            checksum: snap::get_str(header, "checksum")
+                .map_err(SnapError::Parse)?
+                .to_string(),
+        };
+        let found = body_checksum(body_of(&doc)?);
+        if found != header.checksum {
+            return Err(SnapError::ChecksumMismatch {
+                found,
+                expect: header.checksum,
+            });
+        }
+        Ok(Snapshot { header, doc })
+    }
+
+    /// The validated header.
+    pub fn header(&self) -> &SnapshotHeader {
+        &self.header
+    }
+
+    /// The embedded scenario block (`Json::Null` when there is none).
+    pub fn scenario(&self) -> &Json {
+        self.doc.get("scenario").unwrap_or(&Json::Null)
+    }
+
+    /// Rebuilds the paused simulation; see [`restore`] for what `cfg`,
+    /// `workload` and `expect_identity` must be.
+    pub fn restore(
+        &self,
+        cfg: &SimConfig,
+        workload: &dyn Workload,
+        expect_identity: &str,
+    ) -> Result<PausedSim, SnapError> {
+        if self.header.identity != expect_identity {
+            return Err(SnapError::IdentityMismatch {
+                found: self.header.identity.clone(),
+                expect: expect_identity.to_string(),
+            });
+        }
+        let slos = workload.serve_specs().iter().map(|s| s.slo_ns).collect();
+        let (mut engine, rig) = build_engine(cfg, slos, Vec::new());
+        engine
+            .restore(body_of(&self.doc)?, &behavior_registry())
+            .map_err(SnapError::State)?;
+        Ok(PausedSim { engine, rig })
+    }
+}
+
+fn body_of(doc: &Json) -> Result<&Json, SnapError> {
+    doc.get("body")
+        .ok_or_else(|| SnapError::Parse("missing \"body\" block".to_string()))
+}
+
 /// Parses and validates a snapshot's header (schema and checksum, not
-/// identity), returning it with the embedded scenario block. Cheap
-/// relative to [`restore`]; the CLI uses it to rebuild the scenario
-/// before deciding the restore config.
+/// identity), returning it with the embedded scenario block.
 pub fn read_header(text: &str) -> Result<(SnapshotHeader, Json), SnapError> {
-    let doc = json::parse(text).map_err(SnapError::Parse)?;
-    let header = doc
-        .get(HEADER_KEY)
-        .ok_or_else(|| SnapError::Parse(format!("missing \"{HEADER_KEY}\" header block")))?;
-    let schema = snap::get_u64(header, "schema").map_err(SnapError::Parse)?;
-    if schema != SNAPSHOT_SCHEMA {
-        return Err(SnapError::SchemaMismatch {
-            found: schema,
-            expect: SNAPSHOT_SCHEMA,
-        });
-    }
-    let parsed = SnapshotHeader {
-        schema,
-        identity: snap::get_str(header, "identity")
-            .map_err(SnapError::Parse)?
-            .to_string(),
-        at_ns: snap::get_time(header, "at_ns")
-            .map_err(SnapError::Parse)?
-            .as_nanos(),
-        events: snap::get_u64(header, "events").map_err(SnapError::Parse)?,
-        checksum: snap::get_str(header, "checksum")
-            .map_err(SnapError::Parse)?
-            .to_string(),
-    };
-    let body = doc
-        .get("body")
-        .ok_or_else(|| SnapError::Parse("missing \"body\" block".to_string()))?;
-    let found = body_checksum(&body.to_pretty());
-    if found != parsed.checksum {
-        return Err(SnapError::ChecksumMismatch {
-            found,
-            expect: parsed.checksum,
-        });
-    }
-    let scenario = doc.get("scenario").cloned().unwrap_or(Json::Null);
-    Ok((parsed, scenario))
+    let snapshot = Snapshot::parse(text)?;
+    Ok((snapshot.header.clone(), snapshot.scenario().clone()))
 }
 
 /// Rebuilds a paused simulation from snapshot text.
@@ -293,29 +350,15 @@ pub fn read_header(text: &str) -> Result<(SnapshotHeader, Json), SnapError> {
 /// point (see the module docs). Policy *parameters* may likewise be
 /// overridden for branching; the policy *kind* must match or
 /// [`SnapError::State`] is returned by the policy's own restore.
+///
+/// Errors come in the order parse, schema, checksum, identity, state.
 pub fn restore(
     cfg: &SimConfig,
     workload: &dyn Workload,
     text: &str,
     expect_identity: &str,
 ) -> Result<PausedSim, SnapError> {
-    let (header, _) = read_header(text)?;
-    if header.identity != expect_identity {
-        return Err(SnapError::IdentityMismatch {
-            found: header.identity,
-            expect: expect_identity.to_string(),
-        });
-    }
-    let doc = json::parse(text).map_err(SnapError::Parse)?;
-    let body = doc
-        .get("body")
-        .ok_or_else(|| SnapError::Parse("missing \"body\" block".to_string()))?;
-    let slos = workload.serve_specs().iter().map(|s| s.slo_ns).collect();
-    let (mut engine, rig) = build_engine(cfg, slos, Vec::new());
-    engine
-        .restore(body, &behavior_registry())
-        .map_err(SnapError::State)?;
-    Ok(PausedSim { engine, rig })
+    Snapshot::parse(text)?.restore(cfg, workload, expect_identity)
 }
 
 #[cfg(test)]

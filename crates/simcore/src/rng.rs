@@ -50,12 +50,51 @@ pub fn mix64(acc: u64, word: u64) -> u64 {
 /// FNV-1a over the UTF-8 bytes, finalized with [`splitmix64`] for better
 /// diffusion of the high bits.
 pub fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
+    let mut h = Fnv1a::new();
+    h.write(s.as_bytes());
+    h.finish()
+}
+
+/// The streaming form of [`hash_str`]: bytes fed in any number of pieces
+/// hash exactly as their concatenation would.
+///
+/// # Examples
+///
+/// ```
+/// use nest_simcore::rng::{hash_str, Fnv1a};
+///
+/// let mut h = Fnv1a::new();
+/// h.write(b"Nest ");
+/// h.write(b"sched");
+/// assert_eq!(h.finish(), hash_str("Nest sched"));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher that has seen no bytes.
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
     }
-    splitmix64(h)
+
+    /// Feeds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01B3);
+        }
+    }
+
+    /// The [`splitmix64`]-finalized digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
 }
 
 /// A deterministic, splittable random-number generator (xoshiro256**).
